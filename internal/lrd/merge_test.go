@@ -4,20 +4,19 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // TestOnlineAggVarMergeAlignedExact: splitting one series at a multiple
 // of the widest block keeps every level's blocks aligned, so the merged
-// estimator reproduces the whole-series estimator — block counts and
-// observation counts exactly, the regression within floating-point
-// association.
+// estimator reproduces the whole-series estimator's full state exactly.
 func TestOnlineAggVarMergeAlignedExact(t *testing.T) {
 	const levels = 6 // widths 1..32
 	rng := rand.New(rand.NewSource(59))
 	series := make([]float64, 8192)
 	for i := range series {
-		series[i] = rng.Float64() * 10
+		series[i] = float64(rng.Intn(10))
 	}
 	whole, err := NewOnlineAggVar(levels)
 	if err != nil {
@@ -38,16 +37,8 @@ func TestOnlineAggVarMergeAlignedExact(t *testing.T) {
 		if err := a.Merge(b); err != nil {
 			t.Fatal(err)
 		}
-		if a.N() != whole.N() {
-			t.Fatalf("cut=%d: merged n %d, whole %d", cut, a.N(), whole.N())
-		}
-		gotEst, err1 := a.Estimate()
-		wantEst, err2 := whole.Estimate()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("cut=%d: estimates failed: %v / %v", cut, err1, err2)
-		}
-		if math.Abs(gotEst.H-wantEst.H) > 1e-9 {
-			t.Fatalf("cut=%d: merged H %v, whole %v", cut, gotEst.H, wantEst.H)
+		if got, want := a.State(), whole.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut=%d: merged state %+v, whole %+v", cut, got, want)
 		}
 	}
 }
@@ -61,7 +52,7 @@ func TestOnlineAggVarMergeUnaligned(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	series := make([]float64, 8192)
 	for i := range series {
-		series[i] = rng.Float64() * 10
+		series[i] = float64(rng.Intn(10))
 	}
 	whole, _ := NewOnlineAggVar(levels)
 	for _, v := range series {
@@ -99,16 +90,16 @@ func TestOnlineAggVarMergeUnaligned(t *testing.T) {
 	}
 }
 
-// TestOnlineAggVarMergeCommutative: the Welford block merges are
-// commutative up to floating-point association; with both operands'
-// partials empty (aligned feeds) the results agree to 1e-12.
+// TestOnlineAggVarMergeCommutative: the block moments merge by integer
+// addition; with both operands' partials empty (aligned feeds) the two
+// merge orders leave identical state.
 func TestOnlineAggVarMergeCommutative(t *testing.T) {
 	const levels = 5 // widths 1..16
 	rng := rand.New(rand.NewSource(67))
 	feed := func(n int) *OnlineAggVar {
 		o, _ := NewOnlineAggVar(levels)
 		for i := 0; i < n; i++ {
-			o.Add(rng.Float64())
+			o.Add(float64(rng.Intn(10)))
 		}
 		return o
 	}
@@ -121,13 +112,50 @@ func TestOnlineAggVarMergeCommutative(t *testing.T) {
 	if err := ba.Merge(a); err != nil {
 		t.Fatal(err)
 	}
-	e1, err1 := ab.Estimate()
-	e2, err2 := ba.Estimate()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("estimates failed: %v / %v", err1, err2)
+	if s1, s2 := ab.State(), ba.State(); !reflect.DeepEqual(s1, s2) {
+		t.Fatalf("merge order changed state:\n%+v\n%+v", s1, s2)
 	}
-	if math.Abs(e1.H-e2.H) > 1e-12 {
-		t.Fatalf("merge order changed H: %v vs %v", e1.H, e2.H)
+}
+
+// TestOnlineAggVarMergeThreeOperandOrders: three estimators fed counts
+// and zero runs (padded to whole top-level blocks, so no partial is
+// discarded) merge to the identical state in all six orders, with a
+// zero run folded into the accumulator after every merge.
+func TestOnlineAggVarMergeThreeOperandOrders(t *testing.T) {
+	const levels = 6 // widths 1..32
+	rng := rand.New(rand.NewSource(73))
+	feed := func() *OnlineAggVar {
+		o, _ := NewOnlineAggVar(levels)
+		for step := 0; step < 30; step++ {
+			if rng.Intn(2) == 0 {
+				o.Add(float64(rng.Intn(50)))
+			} else {
+				o.AddZeros(rng.Int63n(200))
+			}
+		}
+		o.AddZeros((32 - o.N()%32) % 32)
+		return o
+	}
+	ops := []*OnlineAggVar{feed(), feed(), feed()}
+	var want AggVarState
+	for i, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		acc, err := RestoreOnlineAggVar(ops[order[0]].State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range order[1:] {
+			if err := acc.Merge(ops[k]); err != nil {
+				t.Fatal(err)
+			}
+			acc.AddZeros(64)
+		}
+		if i == 0 {
+			want = acc.State()
+			continue
+		}
+		if got := acc.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("order %v: state %+v, want %+v", order, got, want)
+		}
 	}
 }
 
@@ -153,7 +181,7 @@ func TestOnlineAggVarEstimateShortStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			o.Add(rng.Float64())
+			o.Add(float64(rng.Intn(10)))
 		}
 		if _, err := o.Estimate(); !errors.Is(err, ErrTooShort) {
 			t.Fatalf("n=%d: want ErrTooShort, got %v", n, err)

@@ -12,15 +12,16 @@ import (
 )
 
 // TestOnlineAggVarLevelVariancesExact checks the core bookkeeping: after
-// n observations, each dyadic level holds exactly the population
-// variance of the m-aggregated series over its complete blocks — the
-// same quantity the batch path computes with timeseries.Aggregate.
+// n observations, each dyadic level holds exactly the block count and
+// block-sum total of the m-aggregated series over its complete blocks,
+// and its variance is the population variance the batch path computes
+// with timeseries.Aggregate.
 func TestOnlineAggVarLevelVariancesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 4096
 	x := make([]float64, n)
 	for i := range x {
-		x[i] = rng.ExpFloat64() * 10
+		x[i] = math.Round(rng.ExpFloat64() * 10)
 	}
 	o, err := NewOnlineAggVar(8)
 	if err != nil {
@@ -46,14 +47,21 @@ func TestOnlineAggVarLevelVariancesExact(t *testing.T) {
 		if l.blocks != int64(len(agg)) {
 			t.Fatalf("level %d has %d blocks, want %d", j, l.blocks, len(agg))
 		}
-		got := l.m2 / float64(l.blocks)
+		var sum float64
+		for _, a := range agg {
+			sum += a * float64(m)
+		}
+		if float64(l.sum) != sum {
+			t.Fatalf("level %d block sums total %d, want %v", j, l.sum, sum)
+		}
+		got := l.variance()
 		if math.Abs(got-want) > 1e-9*math.Max(1, want) {
 			t.Errorf("level %d variance %v, want %v", j, got, want)
 		}
 	}
 }
 
-// TestOnlineAggVarWhiteNoise: iid data has H = 0.5; the streaming
+// TestOnlineAggVarWhiteNoise: iid counts have H = 0.5; the streaming
 // estimator must land close to it.
 func TestOnlineAggVarWhiteNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -62,7 +70,7 @@ func TestOnlineAggVarWhiteNoise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1<<14; i++ {
-		o.Add(rng.NormFloat64())
+		o.Add(float64(rng.Intn(100)))
 	}
 	est, err := o.Estimate()
 	if err != nil {
@@ -80,14 +88,19 @@ func TestOnlineAggVarWhiteNoise(t *testing.T) {
 }
 
 // TestOnlineAggVarMatchesBatchOnFGN is the tolerance contract of
-// DESIGN.md §10: on a long-range dependent series the streaming dyadic
-// estimate agrees with the batch log-spaced-grid estimate within
-// |ΔH| <= 0.1, and both sit near the planted H.
+// DESIGN.md §10: on a long-range dependent count series (fGn with
+// H = 0.8 shifted and scaled into whole per-second counts) the
+// streaming dyadic estimate agrees with the batch log-spaced-grid
+// estimate on the same counts within |ΔH| <= 0.1, and both sit near
+// the planted H.
 func TestOnlineAggVarMatchesBatchOnFGN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x, err := fgn.Generate(rng, 0.8, 1<<14)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, v := range x {
+		x[i] = math.Max(0, math.Round(1000+100*v))
 	}
 	batch, err := EstimateAggregatedVariance(x)
 	if err != nil {
@@ -118,7 +131,7 @@ func TestOnlineAggVarEstimateIsRepeatable(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	o, _ := NewOnlineAggVar(0)
 	for i := 0; i < 2048; i++ {
-		o.Add(rng.Float64())
+		o.Add(float64(rng.Intn(10)))
 	}
 	a, err := o.Estimate()
 	if err != nil {
@@ -174,13 +187,13 @@ func TestOnlineAggVarLevelsCounter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	// 32 blocks at width 4 need 128 observations; width 8 needs 256.
 	for i := 0; i < 128; i++ {
-		o.Add(rng.Float64())
+		o.Add(float64(rng.Intn(10)))
 	}
 	if got := o.Levels(); got != 3 {
 		t.Errorf("after 128 observations Levels = %d, want 3 (m=1,2,4)", got)
 	}
 	for i := 0; i < 128; i++ {
-		o.Add(rng.Float64())
+		o.Add(float64(rng.Intn(10)))
 	}
 	if got := o.Levels(); got != 4 {
 		t.Errorf("after 256 observations Levels = %d, want 4", got)
@@ -189,9 +202,8 @@ func TestOnlineAggVarLevelsCounter(t *testing.T) {
 
 // TestOnlineAggVarAddZerosBitIdentical is the contract AddZeros ships
 // under: any interleaving of Add and AddZeros must leave every level's
-// full state — partial, filled, blocks, mean, m2 — bit-for-bit equal to
-// the same run with AddZeros(k) spelled as k sequential Add(0) calls.
-// The engine's published Hurst bytes ride on this equivalence.
+// full state — partial, filled, blocks, ΣS, ΣS² — equal to the same run
+// with AddZeros(k) spelled as k sequential Add(0) calls.
 func TestOnlineAggVarAddZerosBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
@@ -205,7 +217,7 @@ func TestOnlineAggVarAddZerosBitIdentical(t *testing.T) {
 		}
 		for step := 0; step < 40; step++ {
 			if rng.Intn(2) == 0 {
-				v := rng.ExpFloat64() * 20
+				v := float64(rng.Intn(40))
 				fast.Add(v)
 				slow.Add(v)
 				continue
@@ -227,5 +239,51 @@ func TestOnlineAggVarAddZerosBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d level %d: AddZeros state %+v, sequential Add(0) state %+v", trial, j, f, s)
 			}
 		}
+	}
+}
+
+// TestOnlineAggVarAddZerosHugeGap: a zero run costs O(levels) whatever
+// its length, so a 2^50-second gap folds at once and counts its blocks
+// exactly.
+func TestOnlineAggVarAddZerosHugeGap(t *testing.T) {
+	o, err := NewOnlineAggVar(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Add(3)
+	o.AddZeros(1 << 50)
+	if o.N() != 1<<50+1 {
+		t.Fatalf("N = %d", o.N())
+	}
+	for j, l := range o.levels {
+		if want := int64(1<<50+1) / l.width; l.blocks != want {
+			t.Fatalf("level %d holds %d blocks, want %d", j, l.blocks, want)
+		}
+		if l.sum != 3 || l.sumSq != (uint128{lo: 9}) {
+			t.Fatalf("level %d moments ΣS=%d ΣS²=%+v, want 3 and 9", j, l.sum, l.sumSq)
+		}
+	}
+}
+
+// TestOnlineAggVarAddRejectsNonCounts: Add takes per-second counts;
+// fractions, negatives, NaN and values past 2^53 are caller bugs and
+// panic rather than corrupt the integer moments.
+func TestOnlineAggVarAddRejectsNonCounts(t *testing.T) {
+	for _, v := range []float64{0.5, -1, math.NaN(), math.Inf(1), 1 << 53} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%v) did not panic", v)
+				}
+			}()
+			o, _ := NewOnlineAggVar(4)
+			o.Add(v)
+		}()
+	}
+	o, _ := NewOnlineAggVar(4)
+	o.Add(0)
+	o.Add(1<<53 - 1)
+	if o.N() != 2 {
+		t.Fatalf("N = %d after two valid counts", o.N())
 	}
 }

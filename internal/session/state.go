@@ -2,21 +2,16 @@ package session
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
 // StreamerState is the checkpointable image of a Streamer. Active
-// sessions are stored in host order; the expiry heap is stored
-// verbatim (its exact slice layout), because the pop order of
-// equal-time entries decides session-close order and therefore the
-// floating-point fold order of downstream estimators — a rebuilt heap
-// with a different internal layout would be semantically equivalent
-// but not byte-identical on resume.
+// sessions are stored in last-activity order, least recently active
+// first — the order the streamer closes equal-time sessions in — so
+// restoring the list restores the close order with it.
 type StreamerState struct {
 	Threshold  time.Duration `json:"threshold"`
 	Active     []Session     `json:"active"`
-	Expiry     []ExpiryState `json:"expiry"`
 	LastTime   time.Time     `json:"last_time"`
 	SawAny     bool          `json:"saw_any"`
 	Opened     int64         `json:"opened"`
@@ -24,51 +19,43 @@ type StreamerState struct {
 	Clamped    int64         `json:"clamped"`
 }
 
-// ExpiryState is one scheduled expiry check in heap-slice order.
-type ExpiryState struct {
-	At   time.Time `json:"at"`
-	Host string    `json:"host"`
-}
-
 // State captures the streamer for checkpointing.
 func (s *Streamer) State() StreamerState {
 	st := StreamerState{
 		Threshold:  s.threshold,
 		Active:     make([]Session, 0, len(s.active)),
-		Expiry:     make([]ExpiryState, len(s.expiry)),
 		LastTime:   s.lastTime,
 		SawAny:     s.sawAny,
 		Opened:     s.opened,
 		PeakActive: s.peakActive,
 		Clamped:    s.clamped,
 	}
-	for _, cur := range s.active {
-		st.Active = append(st.Active, *cur)
-	}
-	sort.Slice(st.Active, func(i, j int) bool { return st.Active[i].Host < st.Active[j].Host })
-	for i, e := range s.expiry {
-		st.Expiry[i] = ExpiryState{At: e.at, Host: e.host}
+	for cur := s.head; cur != nil; cur = cur.next {
+		st.Active = append(st.Active, cur.Session)
 	}
 	return st
 }
 
 // RestoreStreamer rebuilds a streamer from a checkpointed state,
-// reproducing the live maps and the expiry heap's exact slice layout.
+// relinking the active sessions in their stored last-activity order.
+// A list whose End times decrease, or that names a host twice, is
+// rejected: no sequence of records produces it.
 func RestoreStreamer(st StreamerState) (*Streamer, error) {
 	s, err := NewStreamer(st.Threshold)
 	if err != nil {
 		return nil, fmt.Errorf("session: restoring streamer: %w", err)
 	}
-	for i := range st.Active {
-		sess := st.Active[i]
+	for i, sess := range st.Active {
 		if _, dup := s.active[sess.Host]; dup {
 			return nil, fmt.Errorf("session: restoring streamer: duplicate active host %q", sess.Host)
 		}
-		s.active[sess.Host] = &sess
-	}
-	s.expiry = make(expiryHeap, len(st.Expiry))
-	for i, e := range st.Expiry {
-		s.expiry[i] = expiryEntry{at: e.At, host: e.Host}
+		if i > 0 && sess.End.Before(st.Active[i-1].End) {
+			return nil, fmt.Errorf("session: restoring streamer: active host %q ends at %v, before its predecessor's %v",
+				sess.Host, sess.End, st.Active[i-1].End)
+		}
+		cur := &activeSession{Session: sess}
+		s.active[sess.Host] = cur
+		s.pushBack(cur)
 	}
 	s.lastTime = st.LastTime
 	s.sawAny = st.SawAny

@@ -61,7 +61,10 @@ func TestObserveClamped(t *testing.T) {
 
 // TestStreamerStateRoundTrip: checkpoint mid-stream, restore, and
 // require the restored streamer to emit exactly what the original
-// emits for the remaining records — including expiry order.
+// emits for the remaining records — including the close order of
+// sessions that end at the same time, which is last-activity order
+// (the input order of each host's last record), live and after
+// restore.
 func TestStreamerStateRoundTrip(t *testing.T) {
 	t0 := time.Date(2004, 1, 12, 10, 0, 0, 0, time.UTC)
 	feed := []weblog.Record{
@@ -69,7 +72,11 @@ func TestStreamerStateRoundTrip(t *testing.T) {
 		recAt("b", t0.Add(2*time.Second)),
 		recAt("c", t0.Add(2*time.Second)),
 		recAt("a", t0.Add(20*time.Second)),
+		// Four sessions end at t0+25s; c's last record comes last.
 		recAt("d", t0.Add(25*time.Second)),
+		recAt("f", t0.Add(25*time.Second)),
+		recAt("g", t0.Add(25*time.Second)),
+		recAt("c", t0.Add(25*time.Second)),
 	}
 	tail := []weblog.Record{
 		recAt("b", t0.Add(50*time.Second)),
@@ -100,9 +107,18 @@ func TestStreamerStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(st, restored.State()) {
 		t.Fatal("restore does not reproduce the captured state")
 	}
+	if got, want := hostsOf(st.Active), []string{"b", "a", "d", "f", "g", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("checkpointed active list %v, want last-activity order %v", got, want)
+	}
 	a, b := run(orig, tail), run(restored, tail)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("restored streamer diverged:\norig     %+v\nrestored %+v", a, b)
+	}
+	// b closes at t0+50s; the record at t0+90s closes a, then the four
+	// t0+25s ties in the order their hosts last spoke, then b's second
+	// session; e closes at t0+400s.
+	if got, want := hostsOf(a), []string{"b", "a", "d", "f", "g", "c", "b", "e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("close order %v, want %v", got, want)
 	}
 	af, bf := orig.Flush(), restored.Flush()
 	if !reflect.DeepEqual(af, bf) {
@@ -112,6 +128,14 @@ func TestStreamerStateRoundTrip(t *testing.T) {
 		t.Fatalf("counters diverged: opened %d/%d peak %d/%d",
 			orig.OpenedTotal(), restored.OpenedTotal(), orig.PeakActiveSessions(), restored.PeakActiveSessions())
 	}
+}
+
+func hostsOf(sessions []Session) []string {
+	hosts := make([]string, len(sessions))
+	for i, s := range sessions {
+		hosts[i] = s.Host
+	}
+	return hosts
 }
 
 func TestRestoreStreamerRejectsBadState(t *testing.T) {
@@ -127,5 +151,17 @@ func TestRestoreStreamerRejectsBadState(t *testing.T) {
 	}
 	if _, err := RestoreStreamer(st); err == nil {
 		t.Fatal("duplicate active host accepted")
+	}
+	t0 := time.Date(2004, 1, 12, 10, 0, 0, 0, time.UTC)
+	st.Active = []Session{
+		{Host: "a", Start: t0, End: t0.Add(2 * time.Second), Requests: 2},
+		{Host: "b", Start: t0, End: t0.Add(time.Second), Requests: 2},
+	}
+	if _, err := RestoreStreamer(st); err == nil {
+		t.Fatal("active list with decreasing End times accepted")
+	}
+	st.Active[0], st.Active[1] = st.Active[1], st.Active[0]
+	if _, err := RestoreStreamer(st); err != nil {
+		t.Fatalf("active list in End order rejected: %v", err)
 	}
 }

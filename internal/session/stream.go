@@ -15,11 +15,15 @@ import (
 // of the batch Sessionize used by the analyses.
 type Streamer struct {
 	threshold time.Duration
-	active    map[string]*Session
-	expiry    expiryHeap
-	lastTime  time.Time
-	sawAny    bool
-	opened    int64
+	active    map[string]*activeSession
+	// head and tail delimit the active sessions in last-activity order:
+	// head is the least recently active. Record times never decrease,
+	// so the list is also in non-decreasing End order, and eviction
+	// only ever looks at its head.
+	head, tail *activeSession
+	lastTime   time.Time
+	sawAny     bool
+	opened     int64
 	// peakActive is the high-water mark of concurrently open sessions —
 	// the quantity that bounds the streamer's live memory, tracked so
 	// bounded-memory regression tests can assert it stays flat as trace
@@ -30,69 +34,42 @@ type Streamer struct {
 	clamped int64
 }
 
-// expiryEntry schedules a host for an expiry check; lazily invalidated
-// entries (the session saw more requests since) are skipped on pop.
-type expiryEntry struct {
-	at   time.Time
-	host string
+// activeSession is an open session and its links in the streamer's
+// last-activity list.
+type activeSession struct {
+	Session
+	prev, next *activeSession
 }
 
-// expiryHeap is a concrete min-heap on expiryEntry.at. It deliberately
-// does NOT implement container/heap.Interface: the stdlib driver boxes
-// every pushed entry and every popped result in an interface value —
-// two heap allocations per observed record on the streaming hot path.
-// The sift algorithms below are mechanical transcriptions of
-// container/heap's up/down with Less = at.Before, so the slice layout
-// after any push/pop sequence — including the tie-breaking order of
-// equal-time entries, which checkpoints store verbatim and which
-// decides session-close order — is bit-for-bit what the stdlib driver
-// would produce.
-type expiryHeap []expiryEntry
-
-func (h *expiryHeap) push(e expiryEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *expiryHeap) pop() expiryEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old[:n].down(0)
-	v := old[n]
-	*h = old[:n]
-	return v
-}
-
-func (h expiryHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h[j].at.Before(h[i].at) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// unlink removes a from the last-activity list.
+//
+//hot:path — once per returning host's record and per closed session.
+func (s *Streamer) unlink(a *activeSession) {
+	if a.prev != nil {
+		a.prev.next = a.next
+	} else {
+		s.head = a.next
 	}
+	if a.next != nil {
+		a.next.prev = a.prev
+	} else {
+		s.tail = a.prev
+	}
+	a.prev, a.next = nil, nil
 }
 
-func (h expiryHeap) down(i0 int) {
-	n := len(h)
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].at.Before(h[j1].at) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !h[j].at.Before(h[i].at) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// pushBack appends a to the last-activity list as the most recently
+// active session.
+//
+//hot:path — once per record.
+func (s *Streamer) pushBack(a *activeSession) {
+	a.prev = s.tail
+	if s.tail != nil {
+		s.tail.next = a
+	} else {
+		s.head = a
 	}
+	s.tail = a
 }
 
 // NewStreamer returns a streaming sessionizer with the given inactivity
@@ -103,7 +80,7 @@ func NewStreamer(threshold time.Duration) (*Streamer, error) {
 	}
 	return &Streamer{
 		threshold: threshold,
-		active:    make(map[string]*Session),
+		active:    make(map[string]*activeSession),
 	}, nil
 }
 
@@ -121,17 +98,16 @@ func (s *Streamer) PeakActiveSessions() int { return s.peakActive }
 // known at open time rather than at close time.
 func (s *Streamer) OpenedTotal() int64 { return s.opened }
 
-// NextExpiry returns the earliest scheduled expiry check and whether
-// one is pending — the eviction frontier a live telemetry view shows
-// next to the stream clock. Entries are lazily invalidated (a session
-// that saw more requests reschedules rather than rewrites), so the
-// returned time is a lower bound on the next actual close, never an
-// exact prediction.
+// NextExpiry returns the expiry deadline of the least recently active
+// session and whether any session is open — the eviction frontier a
+// live telemetry view shows next to the stream clock. It is exact: that
+// session closes on the first record (or Advance) strictly after the
+// returned time, unless its host speaks first.
 func (s *Streamer) NextExpiry() (time.Time, bool) {
-	if len(s.expiry) == 0 {
+	if s.head == nil {
 		return time.Time{}, false
 	}
-	return s.expiry[0].at, true
+	return s.head.End.Add(s.threshold), true
 }
 
 // Clamped returns how many records ObserveClamped pulled forward to
@@ -161,41 +137,39 @@ func (s *Streamer) ObserveClamped(r weblog.Record) ([]Session, error) {
 // Observe feeds one record. Records must arrive in non-decreasing time
 // order (access logs are written that way). It returns any sessions
 // whose inactivity window closed at or before this record's timestamp.
+// Moving the host to the tail of the last-activity list is pointer
+// surgery, so this path allocates only the node of a newly opened
+// session (DESIGN.md §13).
 //
-//hot:path — one call per record; the concrete expiry heap exists so
-// this path allocates nothing but amortized session growth
-// (DESIGN.md §13).
+//hot:path — one call per record.
 func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
 	if s.sawAny && r.Time.Before(s.lastTime) {
 		return nil, fmt.Errorf("session: streamer requires time-ordered input: %v after %v", r.Time, s.lastTime)
 	}
 	s.lastTime = r.Time
 	s.sawAny = true
+	// evict closes every session idle longer than the threshold at
+	// r.Time, so a session still open for this host absorbs r.
 	closed := s.evict(r.Time)
 	cur, ok := s.active[r.Host]
-	if ok && r.Time.Sub(cur.End) > s.threshold {
-		// Should have been evicted already, but guard against equal-time
-		// boundary cases.
-		closed = append(closed, *cur)
-		ok = false
-	}
-	if !ok {
-		fresh := open(r)
-		s.active[r.Host] = &fresh
+	if ok {
+		cur.absorb(r)
+		s.unlink(cur)
+	} else {
+		cur = &activeSession{Session: open(r)}
+		s.active[r.Host] = cur
 		s.opened++
 		if len(s.active) > s.peakActive {
 			s.peakActive = len(s.active)
 		}
-	} else {
-		cur.absorb(r)
 	}
-	s.expiry.push(expiryEntry{at: r.Time.Add(s.threshold), host: r.Host})
+	s.pushBack(cur)
 	return closed, nil
 }
 
 // Advance moves the eviction frontier to now without observing a
 // record, closing every session whose inactivity window provably ended
-// (expiry strictly before now), in the same deterministic heap order
+// (expiry strictly before now), in the same last-activity order
 // Observe would close them. The stream clock is untouched, so records
 // timestamped between the streamer's own last observation and now
 // remain acceptable afterwards.
@@ -211,27 +185,22 @@ func (s *Streamer) Advance(now time.Time) []Session {
 }
 
 // evict closes every session whose inactivity window ended strictly
-// before now.
+// before now, least recently active first: equal-time closes come out
+// in the input order of each host's last record. It only inspects the
+// head of the last-activity list, and every session it visits closes.
 //
-//hot:path — called from Observe on every record; pops must not box.
+//hot:path — called from Observe on every record.
 func (s *Streamer) evict(now time.Time) []Session {
 	var closed []Session
-	for len(s.expiry) > 0 && s.expiry[0].at.Before(now) {
-		entry := s.expiry.pop()
-		cur, ok := s.active[entry.host]
-		if !ok {
-			continue // session already closed
-		}
-		if now.Sub(cur.End) > s.threshold {
-			// Growth is per closed session, not per record: eviction
-			// bursts are bounded by the active-session count and most
-			// calls close zero or one session, so a presized buffer
-			// would be pure waste.
-			closed = append(closed, *cur) //lint:allow hotalloc amortized per closed session, not per record
-			delete(s.active, entry.host)
-		}
-		// Otherwise the session saw later requests; a fresher expiry
-		// entry exists in the heap.
+	for s.head != nil && s.head.End.Add(s.threshold).Before(now) {
+		cur := s.head
+		s.unlink(cur)
+		delete(s.active, cur.Host)
+		// Growth is per closed session, not per record: eviction
+		// bursts are bounded by the active-session count and most
+		// calls close zero or one session, so a presized buffer would
+		// be pure waste.
+		closed = append(closed, cur.Session) //lint:allow hotalloc amortized per closed session, not per record
 	}
 	return closed
 }
@@ -240,11 +209,11 @@ func (s *Streamer) evict(now time.Time) []Session {
 // last record. The streamer is reusable afterwards.
 func (s *Streamer) Flush() []Session {
 	out := make([]Session, 0, len(s.active))
-	for _, cur := range s.active {
-		out = append(out, *cur)
+	for cur := s.head; cur != nil; cur = cur.next {
+		out = append(out, cur.Session)
 	}
-	s.active = make(map[string]*Session)
-	s.expiry = s.expiry[:0]
+	s.active = make(map[string]*activeSession)
+	s.head, s.tail = nil, nil
 	s.sawAny = false
 	sortSessions(out)
 	return out

@@ -1,12 +1,13 @@
 // Checkpoint/resume for the streaming engine: a versioned, checksummed
-// serialization of the full online state — per-shard sessionizer heaps,
-// Welford moments, quantile-sketch ladders, dyadic aggregated-variance
-// levels, reservoir Hill state (with RNG replay), totals and ingest
-// accounting — written atomically at snapshot cadence. A resumed engine
-// continues from the exact raw-line boundary the checkpoint recorded
-// and produces output byte-identical to an uninterrupted run
-// (DESIGN.md §11). Checkpoints of a sharded run carry every shard's
-// state verbatim; merged sketches are never persisted (DESIGN.md §12).
+// serialization of the full online state — per-shard sessionizer
+// last-activity lists, Welford moments, quantile-sketch ladders, dyadic
+// aggregated-variance levels, reservoir Hill state (with RNG replay),
+// totals and ingest accounting — written atomically at snapshot
+// cadence. A resumed engine continues from the exact raw-line boundary
+// the checkpoint recorded and produces output byte-identical to an
+// uninterrupted run (DESIGN.md §11). Checkpoints of a sharded run carry
+// every shard's state verbatim; merged sketches are never persisted
+// (DESIGN.md §12).
 
 package stream
 
@@ -37,9 +38,14 @@ import (
 //
 // v3: the optional arrival-ring state (Arrivals) and the ArrivalWindow
 // fingerprint field behind the serve-mode what-if layer.
+//
+// v4: exact integer block moments (partial, blocks, ΣS, ΣS²) in every
+// aggregated-variance level, integer tracker counts, and each
+// sessionizer's active sessions in last-activity order in place of the
+// stored expiry heap.
 const (
 	checkpointMagic   = "fullweb-checkpoint"
-	checkpointVersion = 3
+	checkpointVersion = 4
 )
 
 // ConfigFingerprint is the engine-config fingerprint embedded in
@@ -98,7 +104,7 @@ func fingerprint(cfg Config) ConfigFingerprint {
 type secondState struct {
 	Est     lrd.AggVarState `json:"est"`
 	Cur     int64           `json:"cur"`
-	Count   float64         `json:"count"`
+	Count   int64           `json:"count"`
 	Started bool            `json:"started"`
 	Flushed bool            `json:"flushed"`
 }
@@ -145,7 +151,7 @@ type shardCheckpoint struct {
 // engineState is the full serialized engine: the global clocks, totals
 // and arrival estimators, plus every shard verbatim.
 type engineState struct {
-	Config           ConfigFingerprint  `json:"config"`
+	Config           ConfigFingerprint `json:"config"`
 	Lines            int64             `json:"lines"`
 	QuarantineOffset int64             `json:"quarantine_offset"`
 	Records          int64             `json:"records"`

@@ -232,9 +232,18 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := stream.ReadCheckpoint(strings.NewReader("not a checkpoint\n{}")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	futured := bytes.Replace(good, []byte(" v3 "), []byte(" v9 "), 1)
-	if _, err := stream.ReadCheckpoint(bytes.NewReader(futured)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("future version accepted: %v", err)
+	// Version skew in either direction: a future version, and v3 — the
+	// last layout with float aggregated-variance moments and a stored
+	// expiry heap — are both refused by the version check.
+	current := " " + strings.Fields(string(good[:bytes.IndexByte(good, '\n')]))[1] + " "
+	for _, v := range []string{" v9 ", " v3 "} {
+		skewed := bytes.Replace(good, []byte(current), []byte(v), 1)
+		if bytes.Equal(skewed, good) {
+			t.Fatalf("header %q did not change when rewritten to %q", current, v)
+		}
+		if _, err := stream.ReadCheckpoint(bytes.NewReader(skewed)); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("checkpoint header with%saccepted: %v", v, err)
+		}
 	}
 
 	cp, err := stream.ReadCheckpoint(bytes.NewReader(good))

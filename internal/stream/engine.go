@@ -156,7 +156,7 @@ func (c *charState) observe(v float64) {
 type secondTracker struct {
 	est     *lrd.OnlineAggVar
 	cur     int64
-	count   float64
+	count   int64
 	started bool
 	flushed bool
 }
@@ -172,10 +172,9 @@ func (t *secondTracker) observe(sec int64) {
 		t.count++
 		return
 	}
-	t.est.Add(t.count)
-	// Idle gaps are zero runs; AddZeros is bit-identical to per-second
-	// Add(0) but costs O(gap/width) per level, which is what keeps
-	// sparse traces with per-shard trackers affordable (EXPERIMENTS.md).
+	t.est.Add(float64(t.count))
+	// Idle gaps are zero runs; AddZeros folds one in O(levels), which is
+	// what keeps sparse traces with per-shard trackers affordable.
 	t.est.AddZeros(sec - t.cur - 1)
 	t.cur = sec
 	t.count = 1
@@ -184,7 +183,7 @@ func (t *secondTracker) observe(sec int64) {
 // flush pushes the final open second; call exactly once, at EOF.
 func (t *secondTracker) flush() {
 	if t.started && !t.flushed {
-		t.est.Add(t.count)
+		t.est.Add(float64(t.count))
 		t.flushed = true
 	}
 }

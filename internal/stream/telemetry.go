@@ -41,8 +41,10 @@ type ShardRuntime struct {
 	// estimator sketches (quantile ladder items + Hill reservoir
 	// samples) — the bounded-memory story, observable.
 	SketchItems int64 `json:"sketch_items"`
-	// NextExpiry is the shard sessionizer's eviction frontier (zero
-	// when no expiry is scheduled).
+	// NextExpiry is the shard sessionizer's eviction frontier: the
+	// exact deadline of its least recently active session, which
+	// closes on the first record past it unless its host speaks first
+	// (zero when no session is open).
 	NextExpiry time.Time `json:"next_expiry"`
 }
 

@@ -2,20 +2,16 @@
 // production counterpart of the batch FULL-Web pipeline. It ingests
 // access-log records chunk by chunk (no full-trace slice), sessionizes
 // incrementally, and maintains online estimators — Welford moments, a
-// mergeable deterministic quantile sketch (P² is kept for comparison),
-// a dyadic aggregated-counts Hurst estimator and a reservoir-fed Hill
-// tail estimator — so arbitrarily long logs are characterized with
-// memory bounded by live sessions and fixed-size sketches, not trace
-// length. Every estimator supports an associative Merge, so the engine
+// mergeable deterministic quantile sketch, a dyadic aggregated-counts
+// Hurst estimator and a reservoir-fed Hill tail estimator — so
+// arbitrarily long logs are characterized with memory bounded by live
+// sessions and fixed-size sketches, not trace length. Every estimator supports an associative Merge, so the engine
 // can hash-partition its state by host into independent shards and
 // report the deterministic merge (DESIGN.md §12). Same input always
 // yields byte-identical snapshots (DESIGN.md §10).
 package stream
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford maintains running moments of a stream in O(1) memory using
 // Welford's update: count, mean, population variance, min and max. The
@@ -96,137 +92,3 @@ func (w *Welford) Min() float64 { return w.minV }
 
 // Max returns the largest observation (0 before any).
 func (w *Welford) Max() float64 { return w.maxV }
-
-// P2Quantile estimates one quantile of a stream in O(1) memory with the
-// P² algorithm (Jain & Chlamtac 1985): five markers track the quantile
-// and its neighborhood, adjusted per observation by parabolic (or, when
-// that would break monotonicity, linear) interpolation. Until five
-// observations arrive the estimate is exact. The update is fully
-// deterministic, so snapshots are reproducible. Error bounds are
-// documented in DESIGN.md §10.
-type P2Quantile struct {
-	p    float64
-	n    int64
-	q    [5]float64 // marker heights
-	pos  [5]float64 // actual marker positions (1-based)
-	des  [5]float64 // desired marker positions
-	inc  [5]float64 // desired position increments
-	init []float64  // first observations, until five arrive
-}
-
-// NewP2Quantile returns a P² estimator of the p-quantile (0 < p < 1).
-func NewP2Quantile(p float64) *P2Quantile {
-	return &P2Quantile{p: p, init: make([]float64, 0, 5)}
-}
-
-// P returns the target quantile.
-func (e *P2Quantile) P() float64 { return e.p }
-
-// N returns the observation count.
-func (e *P2Quantile) N() int64 { return e.n }
-
-// Observe feeds one value.
-func (e *P2Quantile) Observe(v float64) {
-	e.n++
-	if e.n <= 5 {
-		e.init = append(e.init, v)
-		sort.Float64s(e.init)
-		if e.n == 5 {
-			copy(e.q[:], e.init)
-			p := e.p
-			e.pos = [5]float64{1, 2, 3, 4, 5}
-			e.des = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
-			e.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-		}
-		return
-	}
-	// Locate the cell of v and clamp the extreme markers.
-	var k int
-	switch {
-	case v < e.q[0]:
-		e.q[0] = v
-		k = 0
-	case v >= e.q[4]:
-		e.q[4] = v
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if v < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.des[i] += e.inc[i]
-	}
-	// Adjust the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.des[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			qp := e.parabolic(i, s)
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				e.q[i] = e.linear(i, s)
-			}
-			e.pos[i] += s
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic prediction of marker i moved
-// by d (±1). Adjacent marker positions are distinct by the adjustment
-// guard while position arithmetic is exact, but beyond 2^53
-// observations the float64 position counters stop incrementing exactly
-// and neighbors can collide — most easily under heavy duplicate
-// observations, which pile every update into the same cell. A
-// collapsed denominator returns the current marker height unchanged
-// (all colliding markers bracket the same value) instead of dividing
-// by zero and poisoning the estimate with NaN.
-func (e *P2Quantile) parabolic(i int, d float64) float64 {
-	if e.pos[i+1] == e.pos[i-1] || e.pos[i+1] == e.pos[i] || e.pos[i] == e.pos[i-1] {
-		return e.q[i]
-	}
-	return e.q[i] + d/(e.pos[i+1]-e.pos[i-1])*
-		((e.pos[i]-e.pos[i-1]+d)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-			(e.pos[i+1]-e.pos[i]-d)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-}
-
-// linear is the fallback linear prediction, with the same
-// collapsed-denominator guard as parabolic.
-func (e *P2Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	if e.pos[j] == e.pos[i] {
-		return e.q[i]
-	}
-	return e.q[i] + d*(e.q[j]-e.q[i])/(e.pos[j]-e.pos[i])
-}
-
-// Quantile returns the current estimate: exact while fewer than five
-// observations have arrived, the P² center marker afterwards. NaN
-// before any observation.
-func (e *P2Quantile) Quantile() float64 {
-	if e.n == 0 {
-		return math.NaN()
-	}
-	if e.n < 5 {
-		// Exact small-sample quantile by linear interpolation, matching
-		// stats.Quantile's convention.
-		idx := e.p * float64(len(e.init)-1)
-		lo := int(math.Floor(idx))
-		hi := int(math.Ceil(idx))
-		if lo == hi {
-			return e.init[lo]
-		}
-		frac := idx - float64(lo)
-		return e.init[lo]*(1-frac) + e.init[hi]*frac
-	}
-	return e.q[2]
-}

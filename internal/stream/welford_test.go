@@ -55,72 +55,3 @@ func TestWelfordZeroValue(t *testing.T) {
 		t.Errorf("single observation: %+v", w)
 	}
 }
-
-// TestP2ExactSmallSamples: with fewer than five observations the P²
-// estimator must return the exact type-7 quantile, matching
-// stats.Quantile bit for bit.
-func TestP2ExactSmallSamples(t *testing.T) {
-	data := []float64{9, 1, 4, 7}
-	for _, p := range []float64{0.5, 0.9, 0.99} {
-		e := NewP2Quantile(p)
-		if !math.IsNaN(e.Quantile()) {
-			t.Fatalf("p=%v: empty estimator returned %v, want NaN", p, e.Quantile())
-		}
-		for n, v := range data {
-			e.Observe(v)
-			want, err := stats.Quantile(data[:n+1], p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := e.Quantile(); got != want {
-				t.Errorf("p=%v n=%d: got %v, want exact %v", p, n+1, got, want)
-			}
-		}
-	}
-}
-
-// TestP2Tolerance is the §10 error contract on a heavy-ish lognormal
-// stream: central quantiles within a few percent, the p99 within 15%.
-func TestP2Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	x := make([]float64, 20000)
-	p50 := NewP2Quantile(0.5)
-	p90 := NewP2Quantile(0.9)
-	p99 := NewP2Quantile(0.99)
-	for i := range x {
-		x[i] = math.Exp(rng.NormFloat64() * 1.5)
-		p50.Observe(x[i])
-		p90.Observe(x[i])
-		p99.Observe(x[i])
-	}
-	check := func(e *P2Quantile, relTol float64) {
-		want, err := stats.Quantile(x, e.P())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := e.Quantile(); math.Abs(got-want) > relTol*want {
-			t.Errorf("p=%v: P² %v vs exact %v (tol %v%%)", e.P(), got, want, relTol*100)
-		}
-	}
-	check(p50, 0.05)
-	check(p90, 0.05)
-	check(p99, 0.15)
-	if p50.N() != int64(len(x)) {
-		t.Errorf("N = %d", p50.N())
-	}
-}
-
-// TestP2Deterministic: the update has no randomness, so two estimators
-// fed the same stream agree exactly.
-func TestP2Deterministic(t *testing.T) {
-	a, b := NewP2Quantile(0.9), NewP2Quantile(0.9)
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 1000; i++ {
-		v := rng.ExpFloat64()
-		a.Observe(v)
-		b.Observe(v)
-	}
-	if a.Quantile() != b.Quantile() {
-		t.Errorf("identical streams diverged: %v vs %v", a.Quantile(), b.Quantile())
-	}
-}
